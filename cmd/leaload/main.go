@@ -618,9 +618,6 @@ func fetchAllStats(cfg *loadConfig, report *loadReport, w io.Writer) {
 		agg.SolvesCold += snap.SolvesCold
 		agg.SolvesWarm += snap.SolvesWarm
 		agg.SolvesIncremental += snap.SolvesIncremental
-		agg.BatchSolves += snap.BatchSolves
-		agg.BatchUnits += snap.BatchUnits
-		agg.BatchFallbacks += snap.BatchFallbacks
 		if e == 0 || len(cfg.urls) == 1 {
 			agg.RequestLatency = snap.RequestLatency
 			agg.SolveLatency = snap.SolveLatency
@@ -908,10 +905,6 @@ func (r *loadReport) write(w io.Writer, jsonOut bool) error {
 		}
 		fmt.Fprintf(w, "server:          cache %d/%d hits (%.0f%%), %d evictions; solves cold %d / warm %d / incremental %d\n",
 			s.CacheHits, total, 100*ratio, s.CacheEvictions, s.SolvesCold, s.SolvesWarm, s.SolvesIncremental)
-		if s.BatchSolves > 0 {
-			fmt.Fprintf(w, "server batching: %d coalesced solves covering %d units, %d fallbacks\n",
-				s.BatchSolves, s.BatchUnits, s.BatchFallbacks)
-		}
 		fmt.Fprintf(w, "server latency:  p50 %s  p99 %s (requests), p50 %s (solve)\n",
 			time.Duration(s.RequestLatency.P50NS), time.Duration(s.RequestLatency.P99NS),
 			time.Duration(s.SolveLatency.P50NS))

@@ -147,11 +147,11 @@ func TestDaemonServesAndDrainsCleanly(t *testing.T) {
 	}
 }
 
-// TestDaemonShardedBatched runs a 2-shard batching daemon: requests for two
-// distinct programs spread deterministically, /statsz carries the per-shard
+// TestDaemonSharded runs a 2-shard daemon: requests for two distinct
+// programs spread deterministically, /statsz carries the per-shard
 // snapshots, and /metrics labels every series with its shard.
-func TestDaemonShardedBatched(t *testing.T) {
-	base, _, shutdown := startDaemon(t, "-shards", "2", "-workers", "1", "-batch", "4", "-queue", "16")
+func TestDaemonSharded(t *testing.T) {
+	base, _, shutdown := startDaemon(t, "-shards", "2", "-workers", "1", "-queue", "16")
 
 	programs := []string{
 		testTAC,
@@ -210,5 +210,9 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-shards", "0"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("zero shards accepted")
+	}
+	// The daemon has no batched-solving mode, so -batch is an unknown flag.
+	if err := run([]string{"-batch", "4"}, io.Discard, nil, nil); err == nil {
+		t.Fatal("removed -batch flag accepted")
 	}
 }

@@ -1,10 +1,12 @@
 package lowenergy
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/actmem"
 	"repro/internal/baseline"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/moa"
@@ -65,9 +67,14 @@ func RunProgram(p *Program, cfg PipelineConfig) (*PipelineResult, error) {
 	return pipeline.Run(p, cfg)
 }
 
-// CheckProgramDataflow verifies block-to-block value handover.
+// CheckProgramDataflow verifies block-to-block value handover: every block
+// input is an output of an earlier block (in task order) or, when
+// allowExternal is set, a program input, and no value has two producers.
 func CheckProgramDataflow(p *Program, allowExternal bool) error {
-	return pipeline.CheckDataflow(p, allowExternal)
+	if err := check.Dataflow(p, allowExternal).Err(); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	return nil
 }
 
 // Regenerate applies the data-regeneration transformation (§5 methodology):

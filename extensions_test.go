@@ -1,6 +1,7 @@
 package lowenergy_test
 
 import (
+	"strings"
 	"testing"
 
 	lowenergy "repro"
@@ -63,6 +64,11 @@ func TestRunProgramThroughPublicAPI(t *testing.T) {
 	}
 	if err := lowenergy.CheckProgramDataflow(prog, true); err != nil {
 		t.Fatal(err)
+	}
+	// Block use reads prep's outputs, but prep's own inputs come from outside
+	// the program, which strict mode rejects.
+	if err := lowenergy.CheckProgramDataflow(prog, false); err == nil || !strings.HasPrefix(err.Error(), "pipeline: ") {
+		t.Fatalf("strict dataflow check: got %v, want a pipeline: error for program inputs a, b, c", err)
 	}
 	res, err := lowenergy.RunProgram(prog, lowenergy.PipelineConfig{
 		Resources: lowenergy.Resources{ALUs: 1, Multipliers: 1},

@@ -80,8 +80,8 @@ func TestGateWithSyntheticBuild(t *testing.T) {
 	for _, f := range findings {
 		switch f.Code {
 		case "LEA0502":
-			// Expected: the fake build returns no diagnostics for the flow and
-			// engine zones, so their real //lea:allocs markers read as stale.
+			// Expected: the fake build returns no diagnostics for the flow
+			// zone, so its real //lea:allocs markers read as stale.
 			continue
 		case "LEA0501":
 			n501++

@@ -2,7 +2,7 @@ package escape
 
 // ZoneFunc names one function of a zone package that must stay
 // allocation-free on its steady-state path. Names are unqualified for
-// package-level functions ("sspRange") and "Type.Method" for methods, with
+// package-level functions ("ssp") and "Type.Method" for methods, with
 // pointer receivers stripped ("Network.SolveWithCostsInto").
 type ZoneFunc struct {
 	// Name identifies the function within its package.
@@ -25,8 +25,8 @@ type Zone struct {
 }
 
 // Zones returns the checked-in noalloc zone map: the warm `…Into` solve path
-// in internal/flow (PR 7's zero-alloc contract), the sweep runner's column
-// loop, and the serve engine's per-worker batch staging. Cold sub-paths
+// in internal/flow (the zero-alloc warm-solve contract) and the sweep
+// runner's column loop. Cold sub-paths
 // inside these functions (error formatting, first-use growth) are declared
 // per line with //lea:allocs markers; everything else must not allocate.
 func Zones() []Zone {
@@ -35,50 +35,28 @@ func Zones() []Zone {
 			// The warm-solve public entry points, AllocsPerRun-asserted.
 			{Name: "Network.SolveWithCostsInto", Root: true},
 			{Name: "Network.MinCostFlowValueWithCostsInto", Root: true},
-			{Name: "Network.SolveBatchWithCostsInto", Root: true},
 			// The shared warm-solve internals those entry points drive.
 			{Name: "Network.solveWithCosts"},
-			{Name: "Network.solveBatch"},
 			{Name: "Scratch.installCosts"},
 			{Name: "Scratch.preparedFor"},
-			{Name: "Scratch.batchPreparedFor"},
 			{Name: "Scratch.patchSupplies"},
 			{Name: "Scratch.restoreResidual"},
 			{Name: "Scratch.validPotentials"},
 			{Name: "costsEqual"},
 			// The SSP engine under the warm path: pathfinding, potentials,
-			// both priority queues.
+			// the priority queue.
 			{Name: "ssp"},
-			{Name: "sspRange"},
 			{Name: "initPotentials"},
 			{Name: "dagRelax"},
 			{Name: "repairPotentials"},
 			{Name: "bellmanFord"},
 			{Name: "dijkstra"},
-			{Name: "dijkstraHeap"},
-			{Name: "dijkstraDial"},
-			{Name: "dialBuckets"},
 			{Name: "payHeap.push"},
 			{Name: "payHeap.pop"},
-			{Name: "dialQueue.reset"},
-			{Name: "dialQueue.push"},
-			{Name: "dialQueue.pop"},
-			{Name: "gcd64"},
-			{Name: "gcdSlice"},
 		}},
 		{Pkg: "internal/sweep", Funcs: []ZoneFunc{
 			// The per-divisor warm column solve inside Runner.Run's sweep.
 			{Name: "Runner.solveColumn"},
-		}},
-		{Pkg: "internal/serve/engine", Funcs: []ZoneFunc{
-			// The worker's batch-coalescing loop and its staging storage.
-			{Name: "Engine.worker"},
-			{Name: "Engine.tryDequeue"},
-			{Name: "Engine.runBatch"},
-			{Name: "batchStage.begin"},
-			{Name: "Engine.solveUnits"},
-			{Name: "Engine.solveSolo"},
-			{Name: "batchUnit.solve"},
 		}},
 	}
 }

@@ -164,13 +164,11 @@ func (pre *Prepared) allocate(registers int, co netbuild.CostOptions, costs []in
 }
 
 // DecodeSolution decodes a flow solution that was computed outside this
-// Prepared — the batch-serving path, where many prepared problems are merged
-// into one super-network (netbuild.NewBatch), solved in a single
-// flow.SolveBatchWithCosts pass and sliced back per item (Batch.Sub). The
-// solution must be the item's slice of such a batch solve (or any solve of
-// this template's network at this register count under co); by the batching
-// invariant it is then identical to what Allocate would have produced, and so
-// is the decoded Result. sst is recorded as the run's solver stats.
+// Prepared: a solve of the template's network (Template().Build.Net) shipping
+// registers units from Build.S to Build.T under co's cost vector, as the
+// benchmark's traced replay runs it. The decode is Allocate's, so the same
+// flows give the same Result. sst, when non-nil, is recorded as the run's
+// solver stats.
 //
 // Unlike Allocate, DecodeSolution only reads the Prepared (template, options,
 // base stats) — it touches neither the scratch nor the cost buffer — so it is

@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -165,5 +166,59 @@ func TestPreparedValidation(t *testing.T) {
 	}
 	if _, err := core.Prepare(set, core.Options{Registers: -1, Cost: staticCO()}); err == nil {
 		t.Error("invalid pipeline options accepted")
+	}
+}
+
+// TestDecodeSolutionMatchesAllocate: a solve of the template's network run
+// outside the Prepared and decoded with DecodeSolution (the benchmark's
+// traced replay does exactly this) must give the flows and the decoded
+// result of Prepared.Allocate.
+func TestDecodeSolutionMatchesAllocate(t *testing.T) {
+	co := staticCO()
+	opts := core.Options{Style: netbuild.DensityRegions, Cost: co}
+	for i, set := range []*lifetime.Set{workload.Figure1(), workload.Figure3()} {
+		pre, err := core.Prepare(set, opts)
+		if err != nil {
+			t.Fatalf("set %d: prepare: %v", i, err)
+		}
+		ref, err := core.Prepare(set, opts)
+		if err != nil {
+			t.Fatalf("set %d: reference prepare: %v", i, err)
+		}
+		costs, baseline, err := pre.Template().CostVector(co)
+		if err != nil {
+			t.Fatalf("set %d: cost vector: %v", i, err)
+		}
+		b := pre.Template().Build
+		sc := flow.NewScratch()
+		for regs := 1; regs <= 3; regs++ {
+			sol, sst, err := b.Net.MinCostFlowValueWithCosts(flow.SSP, costs, sc, b.S, b.T, int64(regs))
+			if err != nil {
+				t.Fatalf("set %d R=%d: solve: %v", i, regs, err)
+			}
+			got, err := pre.DecodeSolution(regs, co, baseline, sol, sst)
+			if err != nil {
+				t.Fatalf("set %d R=%d: decode: %v", i, regs, err)
+			}
+			want, err := ref.Allocate(regs, co)
+			if err != nil {
+				t.Fatalf("set %d R=%d: allocate: %v", i, regs, err)
+			}
+			if !reflect.DeepEqual(sol.FlowByArc, want.Solution.FlowByArc) {
+				t.Fatalf("set %d R=%d: flows differ from Allocate", i, regs)
+			}
+			if got.TotalEnergy != want.TotalEnergy || got.RegistersUsed != want.RegistersUsed ||
+				got.MemoryLocations != want.MemoryLocations {
+				t.Fatalf("set %d R=%d: decoded %g/%d/%d, Allocate %g/%d/%d", i, regs,
+					got.TotalEnergy, got.RegistersUsed, got.MemoryLocations,
+					want.TotalEnergy, want.RegistersUsed, want.MemoryLocations)
+			}
+			if !reflect.DeepEqual(got.InRegister, want.InRegister) || !reflect.DeepEqual(got.RegOf, want.RegOf) {
+				t.Fatalf("set %d R=%d: decoded residences differ from Allocate", i, regs)
+			}
+			if got.Stats.Solver != *sst {
+				t.Fatalf("set %d R=%d: solver stats %+v, want %+v", i, regs, got.Stats.Solver, *sst)
+			}
+		}
 	}
 }

@@ -82,8 +82,8 @@ type SolveStats struct {
 	Phases int `json:"phases"`
 	// DijkstraIters counts queue pops across all Dijkstra rounds (SSP).
 	DijkstraIters int `json:"dijkstra_iters"`
-	// BucketPhases counts the Dijkstra rounds that ran on the Dial bucket
-	// queue instead of the binary heap (SSP; see Scratch.SetQueueMode).
+	// BucketPhases is always 0: SSP runs every Dijkstra round on the binary
+	// heap. The field stays only for readers that still reference it.
 	BucketPhases int `json:"bucket_phases,omitempty"`
 	// Relabels and Pushes count push-relabel work (cost scaling).
 	Relabels int `json:"relabels"`
@@ -97,9 +97,6 @@ type SolveStats struct {
 	WarmStart        bool `json:"warm_start"`
 	PotentialsReused bool `json:"potentials_reused"`
 	Incremental      bool `json:"incremental"`
-	// BatchUnits counts the disjoint subproblems coalesced into this solve
-	// (SolveBatchWithCosts); zero for plain single-problem solves.
-	BatchUnits int `json:"batch_units,omitempty"`
 	// Duration is the wall time of the solve, residual construction included.
 	Duration time.Duration `json:"duration_ns"`
 }
@@ -117,17 +114,11 @@ func (st SolveStats) String() string {
 	if st.Relabels > 0 || st.Pushes > 0 {
 		fmt.Fprintf(&b, " pushes=%d relabels=%d", st.Pushes, st.Relabels)
 	}
-	if st.BucketPhases > 0 {
-		fmt.Fprintf(&b, " bucket-phases=%d", st.BucketPhases)
-	}
 	if st.WarmStart {
 		fmt.Fprintf(&b, " warm=true potentials-reused=%t", st.PotentialsReused)
 	}
 	if st.Incremental {
 		b.WriteString(" incremental=true")
-	}
-	if st.BatchUnits > 0 {
-		fmt.Fprintf(&b, " batch-units=%d", st.BatchUnits)
 	}
 	fmt.Fprintf(&b, " time=%s", st.Duration)
 	return b.String()
@@ -146,13 +137,6 @@ type Scratch struct {
 	dist    []int64
 	prevArc []int32
 	heap    payHeap
-	dial    dialQueue
-	// queueMode selects the Dijkstra priority queue (heap, Dial buckets or
-	// per-round automatic selection); keyUnit is the gcd every distance key
-	// of the current solve is a multiple of (derived from the cost vector
-	// and any carried-over potentials), the Dial bucket quantum.
-	queueMode QueueMode
-	keyUnit   int64
 	// Topological-order potential initialisation buffers (dagRelax).
 	indeg []int32
 	order []int32
@@ -168,27 +152,6 @@ type Scratch struct {
 	lastCosts []int64
 }
 
-// QueueMode selects the priority queue the SSP Dijkstra rounds use. The
-// heap and bucket paths are byte-identical (same flows, same stats modulo
-// SolveStats.BucketPhases); the mode only trades constant factors.
-type QueueMode uint8
-
-// Queue modes accepted by Scratch.SetQueueMode.
-const (
-	// QueueAuto (the default) picks per round: the Dial bucket queue when
-	// the reduced-cost bound keeps the bucket count small, else the heap.
-	QueueAuto QueueMode = iota
-	// QueueHeap forces the binary heap.
-	QueueHeap
-	// QueueBucket prefers the Dial bucket queue, falling back to the heap
-	// only past the hard bucket-count safety valve.
-	QueueBucket
-)
-
-// SetQueueMode selects the Dijkstra queue for subsequent solves on this
-// scratch. Results are identical across modes.
-func (sc *Scratch) SetQueueMode(m QueueMode) { sc.queueMode = m }
-
 // prepared snapshots the residual topology built for one network's supply
 // configuration, so SolveWithCosts can re-solve with new costs without
 // rebuilding. Invalidated by any cold solve on the same scratch.
@@ -203,18 +166,6 @@ type prepared struct {
 	supply   []int64 // supply snapshot at prepare time
 	excess   []int64 // per-node imbalance after the lower-bound reduction
 	superArc []int32 // forward super arc per node (-1 when excess was zero)
-	// Batch-prepare state (prepareBatch): the component layout and one
-	// (super source, super sink, required) triple per component. Non-empty
-	// batch marks the topology as batch-shaped, which preparedFor and
-	// patchSupplies treat as a mismatch for plain solves.
-	comps []BatchComponent
-	batch []batchPrep
-}
-
-// batchPrep is one component's private super source/sink and required flow.
-type batchPrep struct {
-	s, t     int
-	required int64
 }
 
 // NewScratch returns an empty scratch space.

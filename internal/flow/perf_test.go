@@ -22,37 +22,33 @@ func buildWarmInstance(rng *rand.Rand) (*Network, []int64, []int64) {
 
 // TestWarmSolveZeroAlloc: after the first (preparing) solve, re-solves
 // through SolveWithCostsInto must not allocate — with unchanged costs
-// (delta-zero path), with alternating cost vectors (full Dijkstra rounds)
-// and under both queue implementations.
+// (delta-zero path) and with alternating cost vectors (full Dijkstra rounds).
 func TestWarmSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nw, costsA, costsB := buildWarmInstance(rng)
-	for _, mode := range []QueueMode{QueueAuto, QueueHeap, QueueBucket} {
-		sc := NewScratchSized(nw.N(), nw.M())
-		sc.SetQueueMode(mode)
-		var sol Solution
-		var st SolveStats
-		if err := nw.SolveWithCostsInto(SSP, costsA, sc, &sol, &st); err != nil {
+	sc := NewScratchSized(nw.N(), nw.M())
+	var sol Solution
+	var st SolveStats
+	if err := nw.SolveWithCostsInto(SSP, costsA, sc, &sol, &st); err != nil {
+		t.Fatal(err)
+	}
+	// Exercise both cost views once so every buffer reaches final size.
+	if err := nw.SolveWithCostsInto(SSP, costsB, sc, &sol, &st); err != nil {
+		t.Fatal(err)
+	}
+	flip := false
+	allocs := testing.AllocsPerRun(50, func() {
+		costs := costsA
+		if flip {
+			costs = costsB
+		}
+		flip = !flip
+		if err := nw.SolveWithCostsInto(SSP, costs, sc, &sol, &st); err != nil {
 			t.Fatal(err)
 		}
-		// Exercise both cost views once so every buffer reaches final size.
-		if err := nw.SolveWithCostsInto(SSP, costsB, sc, &sol, &st); err != nil {
-			t.Fatal(err)
-		}
-		flip := false
-		allocs := testing.AllocsPerRun(50, func() {
-			costs := costsA
-			if flip {
-				costs = costsB
-			}
-			flip = !flip
-			if err := nw.SolveWithCostsInto(SSP, costs, sc, &sol, &st); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("mode %d: warm SolveWithCostsInto allocates %.1f/op, want 0", mode, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm SolveWithCostsInto allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -63,8 +59,12 @@ func TestWarmValueSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nw, _, _ := buildWarmInstance(rng)
 	base := NewNetworkSized(nw.N(), nw.M())
-	if _, err := base.AppendNetwork(nw, 0, false); err != nil {
-		t.Fatal(err)
+	for id := 0; id < nw.M(); id++ {
+		from, to, lower, capacity, cost := nw.Arc(ArcID(id))
+		base.MustArc(from, to, lower, capacity, cost)
+	}
+	for v := 0; v < nw.N(); v++ {
+		base.AddSupply(v, nw.Supply(v))
 	}
 	costs := arcCosts(base)
 	s, tt := base.N()-2, base.N()-1
@@ -85,158 +85,5 @@ func TestWarmValueSolveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// batchInstance builds a merged two-component batch network from two random
-// subproblems, in the layout SolveBatchWithCosts requires.
-func batchInstance(rng *rand.Rand) (*Network, []BatchComponent, []int64) {
-	subA, sA, tA, vA := randomInstance(rng)
-	subB, sB, tB, vB := randomInstance(rng)
-	nodes := subA.N() + 2 + subB.N() + 2
-	nw := NewNetworkSized(nodes, subA.M()+subB.M())
-	comps := make([]BatchComponent, 0, 2)
-	base, arcBase := 0, 0
-	for i, sub := range []*Network{subA, subB} {
-		if _, err := nw.AppendNetwork(sub, base, false); err != nil {
-			panic(err)
-		}
-		s, t, v := sA, tA, vA
-		if i == 1 {
-			s, t, v = sB, tB, vB
-		}
-		nw.AddSupply(base+s, v)
-		nw.AddSupply(base+t, -v)
-		comps = append(comps, BatchComponent{
-			Lo: base, Hi: base + sub.N() + 2,
-			ArcLo: arcBase, ArcHi: arcBase + sub.M(),
-		})
-		base += sub.N() + 2
-		arcBase += sub.M()
-	}
-	return nw, comps, arcCosts(nw)
-}
-
-// TestBatchWarmSolveZeroAlloc: warm merged batch re-solves through
-// SolveBatchWithCostsInto must not allocate.
-func TestBatchWarmSolveZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	nw, comps, costs := batchInstance(rng)
-	costsB := make([]int64, len(costs))
-	for i, c := range costs {
-		costsB[i] = c + int64(rng.Intn(3))
-	}
-	sc := NewScratchSized(nw.N(), nw.M())
-	var sol Solution
-	var st SolveStats
-	if err := nw.SolveBatchWithCostsInto(costs, sc, comps, &sol, &st); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SolveBatchWithCostsInto(costsB, sc, comps, &sol, &st); err != nil {
-		t.Fatal(err)
-	}
-	flip := false
-	allocs := testing.AllocsPerRun(50, func() {
-		c := costs
-		if flip {
-			c = costsB
-		}
-		flip = !flip
-		if err := nw.SolveBatchWithCostsInto(c, sc, comps, &sol, &st); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm SolveBatchWithCostsInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestQueueEquivalence: on random instances and random cost sequences, a
-// forced-bucket scratch and a forced-heap scratch must produce byte-identical
-// solves — same flows, same objective, same augmentations, phases and
-// Dijkstra pop counts — with the bucket scratch actually exercising Dial
-// rounds somewhere in the run.
-func TestQueueEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	bucketRounds := 0
-	for inst := 0; inst < 60; inst++ {
-		nw, costsA, costsB := buildWarmInstance(rng)
-		scH := NewScratchSized(nw.N(), nw.M())
-		scH.SetQueueMode(QueueHeap)
-		scB := NewScratchSized(nw.N(), nw.M())
-		scB.SetQueueMode(QueueBucket)
-		var solH, solB Solution
-		var stH, stB SolveStats
-		for round := 0; round < 6; round++ {
-			costs := costsA
-			if round%2 == 1 {
-				costs = costsB
-			}
-			errH := nw.SolveWithCostsInto(SSP, costs, scH, &solH, &stH)
-			errB := nw.SolveWithCostsInto(SSP, costs, scB, &solB, &stB)
-			if (errH == nil) != (errB == nil) {
-				t.Fatalf("inst %d round %d: heap err %v, bucket err %v", inst, round, errH, errB)
-			}
-			if errH != nil {
-				continue
-			}
-			if solH.Cost != solB.Cost {
-				t.Fatalf("inst %d round %d: heap cost %d, bucket cost %d", inst, round, solH.Cost, solB.Cost)
-			}
-			for i := range solH.FlowByArc {
-				if solH.FlowByArc[i] != solB.FlowByArc[i] {
-					t.Fatalf("inst %d round %d arc %d: heap flow %d, bucket flow %d",
-						inst, round, i, solH.FlowByArc[i], solB.FlowByArc[i])
-				}
-			}
-			if stH.Augmentations != stB.Augmentations || stH.Phases != stB.Phases ||
-				stH.DijkstraIters != stB.DijkstraIters {
-				t.Fatalf("inst %d round %d: stats diverge: heap %+v, bucket %+v", inst, round, stH, stB)
-			}
-			if stH.BucketPhases != 0 {
-				t.Fatalf("inst %d round %d: forced-heap scratch ran %d bucket phases", inst, round, stH.BucketPhases)
-			}
-			bucketRounds += stB.BucketPhases
-		}
-	}
-	if bucketRounds == 0 {
-		t.Fatal("forced-bucket scratches never ran a Dial round; equivalence test is vacuous")
-	}
-}
-
-// TestAutoQueueMatchesForced: the automatic per-round queue selection must
-// agree with both forced modes on flows and objective.
-func TestAutoQueueMatchesForced(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for inst := 0; inst < 30; inst++ {
-		nw, costsA, costsB := buildWarmInstance(rng)
-		scA := NewScratchSized(nw.N(), nw.M())
-		scH := NewScratchSized(nw.N(), nw.M())
-		scH.SetQueueMode(QueueHeap)
-		var solA, solH Solution
-		var stA, stH SolveStats
-		for round := 0; round < 4; round++ {
-			costs := costsA
-			if round%2 == 1 {
-				costs = costsB
-			}
-			errA := nw.SolveWithCostsInto(SSP, costs, scA, &solA, &stA)
-			errH := nw.SolveWithCostsInto(SSP, costs, scH, &solH, &stH)
-			if (errA == nil) != (errH == nil) {
-				t.Fatalf("inst %d round %d: auto err %v, heap err %v", inst, round, errA, errH)
-			}
-			if errA != nil {
-				continue
-			}
-			if solA.Cost != solH.Cost || stA.DijkstraIters != stH.DijkstraIters {
-				t.Fatalf("inst %d round %d: auto (cost %d, iters %d) vs heap (cost %d, iters %d)",
-					inst, round, solA.Cost, stA.DijkstraIters, solH.Cost, stH.DijkstraIters)
-			}
-			for i := range solA.FlowByArc {
-				if solA.FlowByArc[i] != solH.FlowByArc[i] {
-					t.Fatalf("inst %d round %d arc %d flows differ", inst, round, i)
-				}
-			}
-		}
 	}
 }

@@ -62,7 +62,6 @@ func (nw *Network) solveWith(e Engine, sc *Scratch, st *SolveStats) (*Solution, 
 			r.addPair(v, t, -b[v], 0)
 		}
 	}
-	sc.keyUnit = gcdSlice(r.cost)
 
 	pushed, err := e.run(sc, s, t, required, st)
 	if err != nil {
@@ -87,19 +86,6 @@ func (nw *Network) solveWith(e Engine, sc *Scratch, st *SolveStats) (*Solution, 
 //
 //lea:noalloc
 func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
-	return sspRange(sc, 0, sc.r.n, s, t, required, st)
-}
-
-// sspRange is ssp restricted to the nodes [lo, hi): distances, potentials and
-// potential updates touch only that range, and the search never leaves it
-// because every arc incident to a node in the range stays inside it (the
-// batch-solve precondition; a plain solve passes the whole node range). With
-// lo=0, hi=n the loop is exactly the unrestricted algorithm, so a component
-// solved in a batch network takes the same augmenting paths — in the same
-// order — as its solo solve would.
-//
-//lea:noalloc
-func sspRange(sc *Scratch, lo, hi, s, t int, required int64, st *SolveStats) (int64, error) {
 	r := &sc.r
 	r.ensureCSR()
 	var pi []int64
@@ -110,7 +96,7 @@ func sspRange(sc *Scratch, lo, hi, s, t int, required int64, st *SolveStats) (in
 		st.PotentialsReused = true
 	} else {
 		var err error
-		pi, err = initPotentials(r, lo, hi, s, sc)
+		pi, err = initPotentials(r, s, sc)
 		if err != nil {
 			return 0, err
 		}
@@ -121,7 +107,7 @@ func sspRange(sc *Scratch, lo, hi, s, t int, required int64, st *SolveStats) (in
 	var shipped int64
 	for shipped < required {
 		st.Phases++
-		if !dijkstra(r, lo, hi, s, pi, dist, prevArc, sc, st) {
+		if !dijkstra(r, s, pi, dist, prevArc, sc, st) {
 			break // t unreachable under current residual
 		}
 		if dist[t] >= infCost {
@@ -129,7 +115,7 @@ func sspRange(sc *Scratch, lo, hi, s, t int, required int64, st *SolveStats) (in
 		}
 		// Update potentials; nodes unreachable this round keep a potential
 		// large enough that reduced costs stay non-negative.
-		for v := lo; v < hi; v++ {
+		for v := 0; v < r.n; v++ {
 			if dist[v] < infCost {
 				pi[v] += dist[v]
 			} else {
@@ -159,42 +145,40 @@ func sspRange(sc *Scratch, lo, hi, s, t int, required int64, st *SolveStats) (in
 }
 
 // initPotentials computes initial node potentials (shortest distances from s
-// over arcs with residual capacity, tolerating negative costs) for the nodes
-// [lo, hi) into the scratch's potential buffer. The initial residual of a
-// DAG-shaped network is acyclic, so a single relaxation pass in topological
-// order suffices — O(V+E). Bellman-Ford remains as the fallback for non-DAG
-// inputs. A plain solve passes the full node range; a batch solve initialises
-// one component's range at a time, leaving the rest of the buffer alone.
+// over arcs with residual capacity, tolerating negative costs) into the
+// scratch's potential buffer. The initial residual of a DAG-shaped network is
+// acyclic, so a single relaxation pass in topological order suffices —
+// O(V+E). Bellman-Ford remains as the fallback for non-DAG inputs.
 //
 //lea:noalloc
-func initPotentials(r *residual, lo, hi, s int, sc *Scratch) ([]int64, error) {
+func initPotentials(r *residual, s int, sc *Scratch) ([]int64, error) {
 	sc.pi = grow64(sc.pi, r.n) //lea:allocs potential growth on first solve of a larger network
 	dist := sc.pi
-	for v := lo; v < hi; v++ {
+	for v := range dist {
 		dist[v] = infCost
 	}
 	dist[s] = 0
-	if dagRelax(r, lo, hi, sc, dist) {
+	if dagRelax(r, sc, dist) {
 		return dist, nil
 	}
 	// Cycle among capacitated arcs: re-run the general algorithm (it resets
 	// dist itself).
-	return bellmanFord(r, lo, hi, s, dist)
+	return bellmanFord(r, s, dist)
 }
 
 // dagRelax attempts one topological-order relaxation pass over the arcs with
-// residual capacity and tail in [lo, hi) (Kahn's algorithm). It reports
-// success, having filled dist, only when that subgraph is acyclic; on failure
-// dist is garbage and the caller must fall back to Bellman-Ford.
+// residual capacity (Kahn's algorithm). It reports success, having filled
+// dist, only when that subgraph is acyclic; on failure dist is garbage and
+// the caller must fall back to Bellman-Ford.
 //
 //lea:noalloc
-func dagRelax(r *residual, lo, hi int, sc *Scratch, dist []int64) bool {
+func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 	sc.indeg = grow32(sc.indeg, r.n) //lea:allocs indegree growth on first solve of a larger network
 	indeg := sc.indeg
-	for v := lo; v < hi; v++ {
+	for v := range indeg {
 		indeg[v] = 0
 	}
-	for u := lo; u < hi; u++ {
+	for u := 0; u < r.n; u++ {
 		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
 			if r.capR[a] > 0 {
 				indeg[r.to[a]]++
@@ -205,7 +189,7 @@ func dagRelax(r *residual, lo, hi int, sc *Scratch, dist []int64) bool {
 		sc.order = make([]int32, 0, r.n) //lea:allocs topo-order growth on first solve of a larger network
 	}
 	q := sc.order[:0]
-	for v := lo; v < hi; v++ {
+	for v := 0; v < r.n; v++ {
 		if indeg[v] == 0 {
 			q = append(q, int32(v))
 		}
@@ -232,7 +216,7 @@ func dagRelax(r *residual, lo, hi int, sc *Scratch, dist []int64) bool {
 		}
 	}
 	sc.order = q[:0]
-	return processed == hi-lo
+	return processed == r.n
 }
 
 // repairPotentials restores the non-negative reduced-cost invariant on a
@@ -271,23 +255,20 @@ func repairPotentials(r *residual, pi []int64) bool {
 }
 
 // bellmanFord computes shortest distances from s over arcs with residual
-// capacity and tail in [lo, hi), tolerating negative costs, into dist. A
-// negative cycle in the initial residual means the network prices a free
-// lunch (a cost-reducing cycle within capacity bounds); it is reported as
-// ErrNegativeCycle rather than a panic so malformed inputs surface as
-// ordinary errors. Restricting relaxation to the range keeps a batch solve
-// from walking the residual cycles that other, already-solved components
-// legitimately hold.
+// capacity, tolerating negative costs, into dist. A negative cycle in the
+// initial residual means the network prices a free lunch (a cost-reducing
+// cycle within capacity bounds); it is reported as ErrNegativeCycle rather
+// than a panic so malformed inputs surface as ordinary errors.
 //
 //lea:noalloc
-func bellmanFord(r *residual, lo, hi, s int, dist []int64) ([]int64, error) {
-	for v := lo; v < hi; v++ {
+func bellmanFord(r *residual, s int, dist []int64) ([]int64, error) {
+	for v := range dist {
 		dist[v] = infCost
 	}
 	dist[s] = 0
 	for round := 0; ; round++ {
 		changed := false
-		for u := lo; u < hi; u++ {
+		for u := 0; u < r.n; u++ {
 			du := dist[u]
 			if du >= infCost {
 				continue
@@ -305,106 +286,23 @@ func bellmanFord(r *residual, lo, hi, s int, dist []int64) ([]int64, error) {
 		if !changed {
 			return dist, nil
 		}
-		if round > hi-lo {
+		if round > r.n {
 			return nil, ErrNegativeCycle
 		}
 	}
 }
 
-// Dial bucket-queue sizing. dialAutoBuckets bounds the bucket count the
-// automatic queue selection accepts (≈32 KiB of bucket heads, L1/L2
-// resident); dialMaxBuckets is the hard safety valve even under a forced
-// QueueBucket — beyond it the round falls back to the heap rather than grow
-// unbounded bucket arrays.
-const (
-	dialAutoBuckets = int64(4096)
-	dialMaxBuckets  = int64(1) << 20
-)
-
-// dijkstra computes reduced-cost shortest paths from s over the nodes
-// [lo, hi), filling dist and prevArc for that range. Reports whether any node
-// was reached (always true: s itself). Per round it selects between the
-// binary heap and a Dial bucket queue: when the largest reduced cost in the
-// range bounds every tentative distance below a small bucket count, the
-// bucket queue pops in O(1) with no sift traffic. Both queues order entries
-// by (distance, push sequence), so the pop sequence — and therefore every
-// relaxation, counter and resulting flow — is byte-identical either way.
+// dijkstra computes reduced-cost shortest paths from s with a binary heap,
+// filling dist and prevArc. Reports whether any node was reached (always
+// true: s itself).
 //
 //lea:noalloc
-func dijkstra(r *residual, lo, hi, s int, pi, dist []int64, prevArc []int32, sc *Scratch, st *SolveStats) bool {
-	for v := lo; v < hi; v++ {
+func dijkstra(r *residual, s int, pi, dist []int64, prevArc []int32, sc *Scratch, st *SolveStats) bool {
+	for v := 0; v < r.n; v++ {
 		dist[v] = infCost
 		prevArc[v] = -1
 	}
 	dist[s] = 0
-	if unit, buckets := dialBuckets(r, lo, hi, pi, sc); buckets >= 0 {
-		st.BucketPhases++
-		dijkstraDial(r, s, pi, dist, prevArc, sc, st, unit, buckets)
-	} else {
-		dijkstraHeap(r, s, pi, dist, prevArc, sc, st)
-	}
-	return true
-}
-
-// dialBuckets decides this round's queue. It returns buckets >= 0 (and the
-// key quantum) to run the Dial queue with that many buckets, or -1 to use the
-// heap. The bound is exact: every key is a multiple of the scratch's key
-// quantum (costs and carried potentials share it, see Scratch.keyUnit), and
-// every pushed key is a settled distance (a simple path of at most hi-lo-1
-// reduced costs, each at most the scanned maximum) plus one more arc. The
-// O(E) scan only runs when bucket mode is possible; a forced QueueHeap skips
-// it entirely.
-//
-//lea:noalloc
-func dialBuckets(r *residual, lo, hi int, pi []int64, sc *Scratch) (unit, buckets int64) {
-	if sc.queueMode == QueueHeap {
-		return 1, -1
-	}
-	unit = sc.keyUnit
-	if unit <= 0 {
-		unit = 1
-	}
-	var maxRC int64
-	for u := lo; u < hi; u++ {
-		pu := pi[u]
-		if pu >= infCost {
-			continue
-		}
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			v := r.to[a]
-			if pi[v] >= infCost {
-				continue
-			}
-			if rc := r.cost[a] + pu - pi[v]; rc > maxRC {
-				maxRC = rc
-			}
-		}
-	}
-	limit := dialAutoBuckets
-	if sc.queueMode == QueueBucket {
-		limit = dialMaxBuckets
-	}
-	mq := maxRC / unit
-	if mq > limit {
-		return unit, -1
-	}
-	buckets = int64(hi-lo)*mq + 1
-	if buckets < 1 {
-		buckets = 1
-	}
-	if buckets > limit {
-		return unit, -1
-	}
-	return unit, buckets
-}
-
-// dijkstraHeap is the binary-heap Dijkstra round.
-//
-//lea:noalloc
-func dijkstraHeap(r *residual, s int, pi, dist []int64, prevArc []int32, sc *Scratch, st *SolveStats) {
 	h := &sc.heap
 	h.a = h.a[:0]
 	seq := int32(0)
@@ -435,55 +333,21 @@ func dijkstraHeap(r *residual, s int, pi, dist []int64, prevArc []int32, sc *Scr
 			}
 		}
 	}
-}
-
-// dijkstraDial is the Dial bucket-queue Dijkstra round: buckets indexed by
-// distance/unit, FIFO within a bucket. Settled keys never decrease, so the
-// current-bucket cursor only moves forward; the queue drains completely every
-// round, which resets all touched buckets to empty as a side effect (the
-// arrays never need clearing between rounds or solves).
-//
-//lea:noalloc
-func dijkstraDial(r *residual, s int, pi, dist []int64, prevArc []int32, sc *Scratch, st *SolveStats, unit, buckets int64) {
-	q := &sc.dial
-	q.reset(buckets)
-	q.push(0, 0, int32(s))
-	for q.size > 0 {
-		du, u32 := q.pop()
-		st.DijkstraIters++
-		u := int(u32)
-		if du > dist[u] {
-			continue // stale entry
-		}
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			v := int(r.to[a])
-			if pi[v] >= infCost {
-				continue
-			}
-			rc := du + r.cost[a] + pi[u] - pi[v]
-			if rc < dist[v] {
-				dist[v] = rc
-				prevArc[v] = int32(a)
-				q.push(rc/unit, rc, int32(v))
-			}
-		}
-	}
+	return true
 }
 
 // heapItem is one queue entry: tentative distance, push sequence number and
-// node. The sequence number makes the ordering a strict total order, which
-// pins heap pops to exactly the Dial queue's FIFO-within-bucket order.
+// node. The sequence number makes the ordering a strict total order, so the
+// pop sequence is fixed by the push order alone. The augmenting paths — and
+// with them equal-cost tie choices visible in decoded allocations and the
+// viz goldens — depend on that order.
 type heapItem struct {
 	dist int64
 	seq  int32
 	node int32
 }
 
-// less orders entries by (dist, -seq) — newest first among equal distances —
-// the shared total order of both queues.
+// less orders entries by (dist, -seq): newest first among equal distances.
 func (x heapItem) less(y heapItem) bool {
 	return x.dist < y.dist || (x.dist == y.dist && x.seq > y.seq)
 }
@@ -530,105 +394,4 @@ func (h *payHeap) pop() heapItem {
 		i = small
 	}
 	return top
-}
-
-// dialQueue is a Dial bucket queue: head/tailq hold per-bucket intrusive FIFO
-// lists over an entry arena (key/node/next). All storage is grow-only scratch;
-// a fully drained round leaves every bucket empty, so reset only has to
-// rewind the arena and (on first growth) initialise new buckets to empty.
-type dialQueue struct {
-	head  []int32 // first arena entry per bucket, -1 when empty
-	tailq []int32 // last arena entry per bucket, -1 when empty
-	key   []int64 // entry arena: tentative distance
-	node  []int32 // entry arena: node
-	next  []int32 // entry arena: next entry in the same bucket, -1 at the tail
-	cur   int64   // current bucket cursor (keys are monotone non-decreasing)
-	size  int     // live entries
-}
-
-// reset prepares the queue for a round needing the given bucket count.
-//
-//lea:noalloc
-func (q *dialQueue) reset(buckets int64) {
-	if int64(len(q.head)) < buckets {
-		old := len(q.head)
-		if int64(cap(q.head)) < buckets {
-			old = 0 // grow32 reallocates without copying; re-init everything
-		}
-		q.head = grow32(q.head, int(buckets))   //lea:allocs bucket growth when the reduced-cost bound rises
-		q.tailq = grow32(q.tailq, int(buckets)) //lea:allocs bucket growth when the reduced-cost bound rises
-		for i := old; i < int(buckets); i++ {
-			q.head[i] = -1
-			q.tailq[i] = -1
-		}
-	}
-	q.key = q.key[:0]
-	q.node = q.node[:0]
-	q.next = q.next[:0]
-	q.cur = 0
-	q.size = 0
-}
-
-// push prepends an entry with the given key to bucket idx's LIFO head —
-// matching the heap's newest-first order among equal distances.
-//
-//lea:noalloc
-func (q *dialQueue) push(idx int64, key int64, node int32) {
-	e := int32(len(q.key))
-	q.key = append(q.key, key)
-	q.node = append(q.node, node)
-	q.next = append(q.next, q.head[idx])
-	if q.tailq[idx] < 0 {
-		q.tailq[idx] = e
-	}
-	q.head[idx] = e
-	q.size++
-}
-
-// pop removes and returns the oldest entry of the lowest non-empty bucket.
-//
-//lea:noalloc
-func (q *dialQueue) pop() (int64, int32) {
-	for q.head[q.cur] < 0 {
-		q.cur++
-	}
-	e := q.head[q.cur]
-	n := q.next[e]
-	q.head[q.cur] = n
-	if n < 0 {
-		q.tailq[q.cur] = -1
-	}
-	q.size--
-	return q.key[e], q.node[e]
-}
-
-// gcd64 returns the non-negative greatest common divisor of a and b.
-//
-//lea:noalloc
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// gcdSlice returns the gcd of all entries (0 when all are zero): the key
-// quantum of any distance derived from these values.
-//
-//lea:noalloc
-func gcdSlice(xs []int64) int64 {
-	var g int64
-	for _, x := range xs {
-		g = gcd64(g, x)
-		if g == 1 {
-			return 1
-		}
-	}
-	return g
 }

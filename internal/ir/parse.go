@@ -37,7 +37,9 @@ func Parse(r io.Reader) (*Program, error) {
 	var task *Task
 	var block *Block
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	// Start from the scanner's small default buffer and grow only for long
+	// lines, up to a 1 MiB line cap.
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

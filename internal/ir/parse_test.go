@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,35 @@ func TestParseErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ParseString(tc.src); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestParseLongLines: the scanner grows its buffer for a line past 64 KiB
+// and still rejects a line past its 1 MiB cap.
+func TestParseLongLines(t *testing.T) {
+	cases := []struct {
+		name    string
+		comment int // bytes of trailing comment on the instruction line
+		tooLong bool
+	}{
+		{"just over 64 KiB", 64<<10 + 1, false},
+		{"over 1 MiB", 1<<20 + 1, true},
+	}
+	for _, tc := range cases {
+		src := "block b\nin x\ny = neg x #" + strings.Repeat("c", tc.comment) + "\nout y\n"
+		p, err := ParseString(src)
+		if tc.tooLong {
+			if !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("%s: err %v, want bufio.ErrTooLong", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := len(p.Tasks[0].Blocks[0].Instrs); n != 1 {
+			t.Errorf("%s: %d instructions, want 1", tc.name, n)
 		}
 	}
 }

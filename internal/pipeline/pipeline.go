@@ -219,20 +219,6 @@ func runBlock(alloc *core.Pipeline, taskName string, block *ir.Block, cfg Config
 	}, nil
 }
 
-// CheckDataflow verifies the block-to-block handover: every block input is
-// an output of an earlier block (in task order) or, when allowed, a program
-// input. Duplicate outputs across blocks are rejected (a value has one
-// producer).
-//
-// Deprecated: use check.Dataflow, which reports every violation as a
-// structured diagnostic; this wrapper surfaces only the combined error.
-func CheckDataflow(p *ir.Program, allowExternal bool) error {
-	if err := check.Dataflow(p, allowExternal).Err(); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
-	}
-	return nil
-}
-
 // Summary renders the program result as an aligned text table, one row per
 // block plus a totals line.
 func (pr *ProgramResult) Summary(w io.Writer) error {

@@ -79,18 +79,6 @@ func TestRunTwoBlocks(t *testing.T) {
 	}
 }
 
-func TestCheckDataflowHandover(t *testing.T) {
-	prog := parse(t, twoBlockSrc)
-	// stage2's inputs p and s are stage1 outputs: strict mode passes except
-	// for the program-level inputs x, y of stage1.
-	if err := CheckDataflow(prog, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDataflow(prog, false); err == nil {
-		t.Fatal("strict mode should reject program inputs x, y")
-	}
-}
-
 func TestCheckDataflowMissingProducer(t *testing.T) {
 	src := `
 task t
@@ -114,28 +102,6 @@ end
 	cfg.AllowExternalInputs = true
 	if _, err := Run(prog, cfg); err != nil {
 		t.Fatalf("permissive mode rejected: %v", err)
-	}
-}
-
-func TestCheckDataflowDuplicateProducer(t *testing.T) {
-	src := `
-task t
-block b1
-in x
-y = neg x
-out y
-end
-block b2
-in x2
-y = neg x2
-out y
-end
-`
-	// Duplicate block-level variable names are legal per block, but two
-	// blocks exporting the same value is a handover ambiguity.
-	prog := parse(t, src)
-	if err := CheckDataflow(prog, true); err == nil {
-		t.Fatal("duplicate producer accepted")
 	}
 }
 

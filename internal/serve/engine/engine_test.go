@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -10,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lifetime"
+	"repro/internal/workload"
 )
 
 // Three distinct single-block programs: the "distinct shapes" half of the
@@ -173,6 +177,63 @@ func TestConcurrentMatchesSequentialCold(t *testing.T) {
 	}
 	if snap.Errors != 0 || snap.Panics != 0 {
 		t.Errorf("errors %d panics %d, want 0", snap.Errors, snap.Panics)
+	}
+}
+
+// TestStageTotalsWithinRequestLatency: the stage_*_ns totals count time
+// spent inside requests, so over any run they sum to at most the summed
+// request latency. A cached template's one-off Split/Pin/Build times belong
+// to the miss that built it: warm repeats must not count them again.
+func TestStageTotalsWithinRequestLatency(t *testing.T) {
+	e := New(Config{Workers: 1})
+	ctx := context.Background()
+	defer e.Close(ctx)
+
+	// Random blocks of 40-120 instructions: big enough that a template
+	// build outweighs a warm request's front end.
+	rng := rand.New(rand.NewSource(3))
+	var reqs []*Request
+	for size := 40; size <= 120; size += 20 {
+		p, err := workload.RandomProgram(rng, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ir.Format(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		req := &Request{Program: buf.String(), Options: RequestOptions{Registers: 4}}
+		if _, err := e.Allocate(ctx, req); err == nil {
+			reqs = append(reqs, req) // RandomProgram may leave an input unread
+		}
+	}
+	if len(reqs) < 3 {
+		t.Fatalf("only %d of the random programs allocate", len(reqs))
+	}
+	prepared := e.Snapshot()
+
+	const repeats = 50
+	for i := 0; i < repeats; i++ {
+		for _, req := range reqs {
+			if _, err := e.Allocate(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := e.Snapshot()
+	if snap.CacheHits != repeats*int64(len(reqs)) {
+		t.Fatalf("cache hits %d, want %d", snap.CacheHits, repeats*len(reqs))
+	}
+	if snap.StageSplitNS != prepared.StageSplitNS || snap.StagePinNS != prepared.StagePinNS ||
+		snap.StageBuildNS != prepared.StageBuildNS {
+		t.Errorf("warm hits added template stage time: split %d→%d pin %d→%d build %d→%d ns",
+			prepared.StageSplitNS, snap.StageSplitNS, prepared.StagePinNS, snap.StagePinNS,
+			prepared.StageBuildNS, snap.StageBuildNS)
+	}
+	stages := snap.StageSplitNS + snap.StagePinNS + snap.StageBuildNS + snap.StageSolveNS + snap.StageDecodeNS
+	if stages > snap.RequestLatency.SumNS {
+		t.Errorf("stage totals sum to %d ns, more than the %d ns of request latency",
+			stages, snap.RequestLatency.SumNS)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -84,8 +82,8 @@ func TestRouteKeyAffinity(t *testing.T) {
 }
 
 // shardCorpus renders a mixed random/hlsbench program corpus with a register
-// sweep, so concurrent load produces both repeated units (dedup) and
-// distinct units (multi-unit merged batches).
+// sweep, so concurrent load produces both repeated and distinct template
+// shapes.
 func shardCorpus(t *testing.T) []*engine.Request {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -114,22 +112,15 @@ func shardCorpus(t *testing.T) []*engine.Request {
 	return reqs
 }
 
-// TestShardedBatchedByteIdentical is the serving stack's equivalence proof:
-// a 4-shard router with aggressive batching and one worker per shard serves
-// a concurrent mixed corpus, and every response is identical (energies,
-// assignments, register counts — everything but cache/timing metadata) to
-// the same request solved alone on a fresh engine. Coalescing cannot be left
-// to scheduler timing — on a single-CPU machine the channel handoff runs the
-// worker after every enqueue, so the queue never builds naturally — so the
-// test parks every shard's worker on a marker request via the PreSolve seam,
-// piles the burst into the queues, and releases; the drains must then
-// coalesce multi-unit batches, putting the merged super-network path (not
-// just solo solves) under the equality check.
-func TestShardedBatchedByteIdentical(t *testing.T) {
+// TestShardedByteIdentical is the serving stack's equivalence proof: a
+// 4-shard router with one worker per shard serves a concurrent mixed corpus,
+// and every response is identical (energies, assignments, register counts —
+// everything but cache/timing metadata) to the same request solved alone on
+// a fresh engine, the sequential cold path. Repeats make most of the
+// sharded solves warm cache hits.
+func TestShardedByteIdentical(t *testing.T) {
 	reqs := shardCorpus(t)
 
-	// Reference: each distinct request solved on its own single-worker,
-	// non-batching engine — the sequential path.
 	ref := make([]*engine.Response, len(reqs))
 	for i, r := range reqs {
 		e := engine.New(engine.Config{Workers: 1, QueueDepth: 4})
@@ -143,52 +134,16 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 		}
 	}
 
-	// One parker program per shard, found by probing the same ring the
-	// router will build. The PreSolve hook parks whichever worker picks one
-	// up, so all four shards block while the corpus burst queues behind
-	// them.
 	const shards = 4
-	ring := NewRing(shards, 0)
-	parker := make(map[int]string, shards)
-	for n := 0; len(parker) < shards; n++ {
-		prog := fmt.Sprintf("task park%d\nblock b\nin a b\nc = a + b\nout c\nend\n", n)
-		s := ring.Lookup(engine.RouteKey(&engine.Request{Program: prog}))
-		if _, ok := parker[s]; !ok {
-			parker[s] = prog
-		}
-	}
-
-	var entered sync.WaitGroup
-	entered.Add(shards)
-	release := make(chan struct{})
+	const repeats = 6
 	router := New(Config{
 		Shards: shards,
-		Engine: engine.Config{
-			Workers: 1, QueueDepth: 64, BatchMax: 8,
-			PreSolve: func(req *engine.Request) {
-				if strings.HasPrefix(req.Program, "task park") {
-					entered.Done()
-					<-release
-				}
-			},
-		},
+		Engine: engine.Config{Workers: 1, QueueDepth: repeats * len(reqs)},
 	})
 	defer router.Close(context.Background())
 
 	var wg sync.WaitGroup
-	const repeats = 6
-	errs := make(chan error, shards+repeats*len(reqs))
-	for _, prog := range parker {
-		wg.Add(1)
-		go func(prog string) {
-			defer wg.Done()
-			if _, err := router.Allocate(context.Background(), &engine.Request{Program: prog}); err != nil {
-				errs <- fmt.Errorf("parker request: %w", err)
-			}
-		}(prog)
-	}
-	entered.Wait() // every shard's worker is parked
-
+	errs := make(chan error, repeats*len(reqs))
 	for n := 0; n < repeats; n++ {
 		for i := range reqs {
 			wg.Add(1)
@@ -200,13 +155,11 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 					return
 				}
 				if got := stripVolatile(resp); !reflect.DeepEqual(got, ref[i]) {
-					errs <- fmt.Errorf("request %d: sharded+batched response differs from sequential solve:\n got %+v\nwant %+v", i, got, ref[i])
+					errs <- fmt.Errorf("request %d: sharded response differs from sequential solve:\n got %+v\nwant %+v", i, got, ref[i])
 				}
 			}(i)
 		}
 	}
-	waitQueued(t, router, repeats*len(reqs))
-	close(release)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -214,33 +167,11 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 	}
 
 	snap := router.Snapshot()
-	if snap.BatchSolves < 1 {
-		t.Fatalf("no coalesced solve observed (batch_solves %d)", snap.BatchSolves)
-	}
-	if snap.BatchUnits <= snap.BatchSolves {
-		t.Errorf("batch_units %d not above batch_solves %d: no multi-unit merged batch", snap.BatchUnits, snap.BatchSolves)
-	}
-	if snap.BatchFallbacks != 0 {
-		t.Errorf("batching fell back %d times", snap.BatchFallbacks)
-	}
-	if want := int64(shards + repeats*len(reqs)); snap.Requests != want {
+	if want := int64(repeats * len(reqs)); snap.Requests != want {
 		t.Errorf("requests %d, want %d", snap.Requests, want)
 	}
-}
-
-// waitQueued polls until the fleet's queue-depth gauges account for n waiting
-// requests. Only meaningful while the workers are parked.
-func waitQueued(t *testing.T, r *Router, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if depth := r.Snapshot().QueueDepth; depth >= int64(n) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queues never reached %d waiting requests (at %d)", n, r.Snapshot().QueueDepth)
-		}
-		time.Sleep(time.Millisecond)
+	if snap.CacheHits == 0 {
+		t.Error("no cache hits: the warm path was never compared")
 	}
 }
 
@@ -252,7 +183,7 @@ func cloneRequest(r *engine.Request) *engine.Request {
 }
 
 // stripVolatile zeroes cache and timing/solver metadata (which legitimately
-// differ between cold, warm and batched paths), keeping every decoded
+// differ between cold and warm paths), keeping every decoded
 // allocation field — energies, assignments, register and memory counts — for
 // exact comparison.
 func stripVolatile(resp *engine.Response) *engine.Response {
