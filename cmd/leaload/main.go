@@ -14,25 +14,22 @@
 //     silent — omitted samples.
 //
 // Program popularity is shaped by -dist: uniform, zipfian[:theta=…] or
-// hotspot[:frac=…,weight=…] over the rendered corpus, so the servers' warm
-// template caches see realistic skew instead of a uniform mix. -sweep
+// hotspot[:frac=…,weight=…] over the rendered corpus, so the server's warm
+// template cache sees realistic skew instead of a uniform mix. -sweep
 // "r1,r2,…" steps the offered rate through a trajectory, reports each
 // stage's steady-state p99 and locates the knee — the highest offered rate
 // that still meets -knee-p99 with zero omissions; -bench-out writes the
 // machine-readable trajectory (the BENCH_load.json record CI tracks).
 //
-// -url accepts a comma-separated endpoint list; with several endpoints each
-// request is routed by the same consistent hash of its program-shape key the
-// server-side shard router uses (engine.RouteKey + shard ring), so a
-// multi-daemon deployment sees the same cache affinity a single sharded
-// daemon would. Requests, errors and /statsz snapshots are reported per
-// endpoint, not only in aggregate.
+// -url names the one daemon under load; its /statsz snapshot is reported
+// next to the client-side numbers, and failed requests are counted by error
+// code.
 //
 // Repeating a small corpus of program shapes is the point: it drives the
-// servers' warm template caches, so a healthy run shows a high cache hit
+// server's warm template cache, so a healthy run shows a high cache hit
 // ratio and a nonzero incremental solve count. -json emits the machine-
 // readable report for bench tracking; -strict fails the process on any
-// failed request; -require-warm additionally fails it when the servers saw
+// failed request; -require-warm additionally fails it when the server saw
 // no warm-cache traffic.
 package main
 
@@ -56,7 +53,6 @@ import (
 	"repro/internal/perfobs"
 	"repro/internal/perfobs/store"
 	"repro/internal/serve/engine"
-	"repro/internal/serve/shard"
 	"repro/internal/workload"
 	"repro/internal/workload/generator"
 )
@@ -70,7 +66,7 @@ func main() {
 
 // loadConfig is the parsed flag set.
 type loadConfig struct {
-	urls        []string
+	url         string
 	workers     int
 	duration    time.Duration
 	mix         string
@@ -100,8 +96,7 @@ type loadConfig struct {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("leaload", flag.ContinueOnError)
 	cfg := loadConfig{}
-	var urls string
-	fs.StringVar(&urls, "url", "http://127.0.0.1:8311", "leaserved base URL, or a comma-separated list routed by program shape")
+	fs.StringVar(&cfg.url, "url", "http://127.0.0.1:8311", "leaserved base URL")
 	fs.IntVar(&cfg.workers, "workers", 4, "concurrent workers (closed loop) or senders (open loop)")
 	fs.DurationVar(&cfg.duration, "duration", 5*time.Second, "run length (open loop: steady-state phase length)")
 	fs.StringVar(&cfg.mix, "mix", "random=1,hlsbench=1,figures=1", "workload class weights, class=weight comma-separated")
@@ -113,7 +108,7 @@ func run(args []string, w io.Writer) error {
 	fs.DurationVar(&cfg.timeout, "timeout", 5*time.Second, "per-request client timeout")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit a machine-readable JSON report")
 	fs.BoolVar(&cfg.strict, "strict", false, "exit nonzero if any request failed or was omitted")
-	fs.BoolVar(&cfg.requireWarm, "require-warm", false, "exit nonzero unless the servers report warm-cache hits and incremental solves")
+	fs.BoolVar(&cfg.requireWarm, "require-warm", false, "exit nonzero unless the server reports warm-cache hits and incremental solves")
 	fs.StringVar(&cfg.loop, "loop", "closed", "loop discipline: closed (one request in flight per worker) or open (scheduled arrivals at -rate)")
 	fs.Float64Var(&cfg.rate, "rate", 1000, "open loop: target offered rate, requests/second")
 	fs.StringVar(&cfg.arrival, "arrival", "exp", "open loop: interarrival process, exp (Poisson) or const")
@@ -136,14 +131,12 @@ func run(args []string, w io.Writer) error {
 	if cfg.sweep != "" {
 		cfg.loop = "open" // a sweep is a sequence of open-loop stages
 	}
-	for _, u := range strings.Split(urls, ",") {
-		u = strings.TrimSpace(u)
-		if u != "" {
-			cfg.urls = append(cfg.urls, strings.TrimRight(u, "/"))
-		}
+	cfg.url = strings.TrimRight(strings.TrimSpace(cfg.url), "/")
+	if cfg.url == "" {
+		return fmt.Errorf("need a -url endpoint")
 	}
-	if len(cfg.urls) == 0 {
-		return fmt.Errorf("need at least one -url endpoint")
+	if strings.Contains(cfg.url, ",") {
+		return fmt.Errorf("-url %q: takes one endpoint, not a list", cfg.url)
 	}
 
 	picks, err := buildCorpus(&cfg)
@@ -168,7 +161,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fetchAllStats(&cfg, report, w)
+	snap, err := fetchStats(&http.Client{Timeout: cfg.timeout}, cfg.url)
+	if err != nil {
+		fmt.Fprintf(w, "leaload: %s/statsz unavailable: %v\n", cfg.url, err)
+	}
+	report.Server = snap
 	meta := perfobs.CollectMeta()
 	report.stamp(meta)
 	if err := report.write(w, cfg.jsonOut); err != nil {
@@ -209,21 +206,18 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// namedProgram is one corpus entry: a rendered TAC request body component
-// plus the endpoint its shape key routes to.
+// namedProgram is one corpus entry: a rendered TAC request body component.
 type namedProgram struct {
-	class    string
-	name     string
-	text     string
-	endpoint int
+	class string
+	name  string
+	text  string
 }
 
 // buildCorpus renders the weighted workload corpus as TAC texts and returns
 // the weighted pick list (each entry repeated by its class weight). The
 // popularity distribution (-dist) draws ranks over this list, so class
 // weights shape the rank space and zipfian/hotspot skew concentrates on the
-// earliest entries. Each program is pinned to its endpoint by the same
-// consistent hash the sharded server uses.
+// earliest entries.
 func buildCorpus(cfg *loadConfig) ([]namedProgram, error) {
 	weights, err := parseMix(cfg.mix)
 	if err != nil {
@@ -234,7 +228,6 @@ func buildCorpus(cfg *loadConfig) ([]namedProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring := shard.NewRing(len(cfg.urls), 0)
 	var picks []namedProgram
 	for _, class := range workload.ProgramClasses() {
 		weight := weights[class]
@@ -247,7 +240,6 @@ func buildCorpus(cfg *loadConfig) ([]namedProgram, error) {
 				return nil, fmt.Errorf("render %s program: %w", class, err)
 			}
 			np := namedProgram{class: class, name: p.Tasks[0].Name, text: buf.String()}
-			np.endpoint = ring.Lookup(engine.RouteKey(allocRequest(cfg, np.text)))
 			for k := 0; k < weight; k++ {
 				picks = append(picks, np)
 			}
@@ -324,13 +316,6 @@ type allocResponse struct {
 	} `json:"blocks"`
 }
 
-// endpointTally is one worker's per-endpoint aggregate.
-type endpointTally struct {
-	requests  int64
-	errors    int64
-	errByCode map[string]int64
-}
-
 // workerTally is one worker's local aggregate, merged after the run.
 type workerTally struct {
 	requests  int64
@@ -338,33 +323,26 @@ type workerTally struct {
 	hits      int64
 	incr      int64
 	byClass   map[string]int64
-	endpoints []endpointTally
+	errByCode map[string]int64
 	latency   *engine.Histogram
 }
 
-// newWorkerTally sizes a tally for the endpoint list.
-func newWorkerTally(endpoints int) *workerTally {
-	t := &workerTally{
+// newWorkerTally builds an empty tally.
+func newWorkerTally() *workerTally {
+	return &workerTally{
 		byClass:   map[string]int64{},
-		endpoints: make([]endpointTally, endpoints),
+		errByCode: map[string]int64{},
 		latency:   &engine.Histogram{},
 	}
-	for e := range t.endpoints {
-		t.endpoints[e].errByCode = map[string]int64{}
-	}
-	return t
 }
 
 // record tallies one completed request.
 func (t *workerTally) record(p *namedProgram, resp *allocResponse, err error) {
-	ep := &t.endpoints[p.endpoint]
 	t.requests++
-	ep.requests++
 	t.byClass[p.class]++
 	if err != nil {
 		t.errors++
-		ep.errors++
-		ep.errByCode[errCode(err)]++
+		t.errByCode[errCode(err)]++
 		return
 	}
 	for _, b := range resp.Blocks {
@@ -405,7 +383,7 @@ func drive(cfg *loadConfig, picks []namedProgram) (*loadReport, error) {
 	tallies := make([]*workerTally, cfg.workers)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.workers; i++ {
-		t := newWorkerTally(len(cfg.urls))
+		t := newWorkerTally()
 		tallies[i] = t
 		dist := dists[i]
 		wg.Add(1)
@@ -414,7 +392,7 @@ func drive(cfg *loadConfig, picks []namedProgram) (*loadReport, error) {
 			for time.Now().Before(deadline) {
 				p := &picks[dist.Next()]
 				start := time.Now()
-				resp, err := postAllocate(client, cfg, cfg.urls[p.endpoint], p.text)
+				resp, err := postAllocate(client, cfg, p.text)
 				t.latency.Observe(time.Since(start))
 				t.record(p, resp, err)
 			}
@@ -461,7 +439,7 @@ func driveOpen(cfg *loadConfig, picks []namedProgram, rate float64) (*loadReport
 	// The senders share one tally; the runner's histograms carry the latency
 	// story, so the tally only needs counters and maps behind a mutex.
 	var mu sync.Mutex
-	tally := newWorkerTally(len(cfg.urls))
+	tally := newWorkerTally()
 	record := func(p *namedProgram, resp *allocResponse, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -473,7 +451,7 @@ func driveOpen(cfg *loadConfig, picks []namedProgram, rate float64) (*loadReport
 		Cutoff:    cfg.cutoff,
 		Send: func(op generator.Op) error {
 			p := &picks[op.Key]
-			resp, err := postAllocate(client, cfg, cfg.urls[p.endpoint], p.text)
+			resp, err := postAllocate(client, cfg, p.text)
 			record(p, resp, err)
 			return err
 		},
@@ -534,12 +512,8 @@ func runSweep(cfg *loadConfig, picks []namedProgram) (*loadReport, error) {
 		for c, n := range stage.ByClass {
 			report.ByClass[c] += n
 		}
-		for e := range stage.Endpoints {
-			report.Endpoints[e].Requests += stage.Endpoints[e].Requests
-			report.Endpoints[e].Errors += stage.Endpoints[e].Errors
-			for c, n := range stage.Endpoints[e].ByError {
-				report.Endpoints[e].ByError[c] += n
-			}
+		for c, n := range stage.ByError {
+			report.ByError[c] += n
 		}
 		report.Duration += stage.Duration
 		last = stage
@@ -554,12 +528,12 @@ func runSweep(cfg *loadConfig, picks []namedProgram) (*loadReport, error) {
 }
 
 // postAllocate issues one allocation request.
-func postAllocate(client *http.Client, cfg *loadConfig, url, program string) (*allocResponse, error) {
+func postAllocate(client *http.Client, cfg *loadConfig, program string) (*allocResponse, error) {
 	body, err := json.Marshal(allocRequest(cfg, program))
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Post(url+"/v1/allocate", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(cfg.url+"/v1/allocate", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
@@ -593,40 +567,7 @@ func errCode(err error) string {
 	}
 }
 
-// fetchAllStats pulls every endpoint's /statsz snapshot into the report:
-// per-endpoint under Endpoints, plus the counter sums as the aggregate
-// Server view the warm gate reads. Unreachable statsz endpoints are noted
-// and skipped.
-func fetchAllStats(cfg *loadConfig, report *loadReport, w io.Writer) {
-	client := &http.Client{Timeout: cfg.timeout}
-	var agg *engine.Snapshot
-	for e, url := range cfg.urls {
-		snap, err := fetchStats(client, url)
-		if err != nil {
-			fmt.Fprintf(w, "leaload: %s/statsz unavailable: %v\n", url, err)
-			continue
-		}
-		report.Endpoints[e].Server = snap
-		if agg == nil {
-			agg = &engine.Snapshot{}
-		}
-		agg.Requests += snap.Requests
-		agg.Errors += snap.Errors
-		agg.CacheHits += snap.CacheHits
-		agg.CacheMisses += snap.CacheMisses
-		agg.CacheEvictions += snap.CacheEvictions
-		agg.SolvesCold += snap.SolvesCold
-		agg.SolvesWarm += snap.SolvesWarm
-		agg.SolvesIncremental += snap.SolvesIncremental
-		if e == 0 || len(cfg.urls) == 1 {
-			agg.RequestLatency = snap.RequestLatency
-			agg.SolveLatency = snap.SolveLatency
-		}
-	}
-	report.Server = agg
-}
-
-// fetchStats pulls one endpoint's /statsz snapshot.
+// fetchStats pulls the daemon's /statsz snapshot.
 func fetchStats(client *http.Client, url string) (*engine.Snapshot, error) {
 	resp, err := client.Get(url + "/statsz")
 	if err != nil {
@@ -643,16 +584,6 @@ func fetchStats(client *http.Client, url string) (*engine.Snapshot, error) {
 	return &snap, nil
 }
 
-// endpointReport is one endpoint's share of the run: its traffic, its error
-// counts by code, and its own /statsz snapshot.
-type endpointReport struct {
-	URL      string           `json:"url"`
-	Requests int64            `json:"requests"`
-	Errors   int64            `json:"errors"`
-	ByError  map[string]int64 `json:"by_error,omitempty"`
-	Server   *engine.Snapshot `json:"server,omitempty"`
-}
-
 // sweepStage is one offered-rate step of a -sweep trajectory.
 type sweepStage struct {
 	OfferedRPS  float64 `json:"offered_rps"`
@@ -665,9 +596,9 @@ type sweepStage struct {
 	MaxLagNS    int64   `json:"max_lag_ns"`
 }
 
-// loadReport is the run summary; -json emits it verbatim. Server aggregates
-// the per-endpoint snapshots (counter sums); Endpoints carries the
-// per-endpoint traffic and error breakdown. Open-loop runs add the
+// loadReport is the run summary; -json emits it verbatim. Server is the
+// daemon's /statsz snapshot; ByError counts failed requests by error code.
+// Open-loop runs add the
 // coordinated-omission-safe per-phase breakdown under Open, and sweeps add
 // the per-rate trajectory under Sweep.
 type loadReport struct {
@@ -692,7 +623,7 @@ type loadReport struct {
 	BlocksCacheHit    int64                    `json:"blocks_cache_hit"`
 	BlocksIncremental int64                    `json:"blocks_incremental"`
 	ByClass           map[string]int64         `json:"by_class"`
-	Endpoints         []endpointReport         `json:"endpoints"`
+	ByError           map[string]int64         `json:"by_error,omitempty"`
 	Latency           engine.HistogramSnapshot `json:"latency"`
 	Open              *generator.RunReport     `json:"open,omitempty"`
 	Sweep             []sweepStage             `json:"sweep,omitempty"`
@@ -703,19 +634,16 @@ type loadReport struct {
 // newLoadReport builds the report skeleton for cfg.
 func newLoadReport(cfg *loadConfig) *loadReport {
 	r := &loadReport{
-		Workers:   cfg.workers,
-		Duration:  cfg.duration.Seconds(),
-		Mix:       cfg.mix,
-		Loop:      cfg.loop,
-		Dist:      cfg.dist,
-		ByClass:   map[string]int64{},
-		Endpoints: make([]endpointReport, len(cfg.urls)),
+		Workers:  cfg.workers,
+		Duration: cfg.duration.Seconds(),
+		Mix:      cfg.mix,
+		Loop:     cfg.loop,
+		Dist:     cfg.dist,
+		ByClass:  map[string]int64{},
+		ByError:  map[string]int64{},
 	}
 	if cfg.loop == "open" {
 		r.Arrival = cfg.arrival
-	}
-	for e, url := range cfg.urls {
-		r.Endpoints[e] = endpointReport{URL: url, ByError: map[string]int64{}}
 	}
 	return r
 }
@@ -729,13 +657,8 @@ func (r *loadReport) fold(t *workerTally) {
 	for c, n := range t.byClass {
 		r.ByClass[c] += n
 	}
-	for e := range t.endpoints {
-		er := &r.Endpoints[e]
-		er.Requests += t.endpoints[e].requests
-		er.Errors += t.endpoints[e].errors
-		for c, n := range t.endpoints[e].errByCode {
-			er.ByError[c] += n
-		}
+	for c, n := range t.errByCode {
+		r.ByError[c] += n
 	}
 }
 
@@ -883,16 +806,13 @@ func (r *loadReport) write(w io.Writer, jsonOut bool) error {
 	for _, c := range classes {
 		fmt.Fprintf(w, "  class %-9s %d requests\n", c+":", r.ByClass[c])
 	}
-	for _, ep := range r.Endpoints {
-		fmt.Fprintf(w, "  endpoint %s: %d requests, %d failed\n", ep.URL, ep.Requests, ep.Errors)
-		var codes []string
-		for c := range ep.ByError {
-			codes = append(codes, c)
-		}
-		sort.Strings(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "    error %-9s %d\n", c+":", ep.ByError[c])
-		}
+	var codes []string
+	for c := range r.ByError {
+		codes = append(codes, c)
+	}
+	sort.Strings(codes)
+	for _, c := range codes {
+		fmt.Fprintf(w, "  error %-9s %d requests\n", c+":", r.ByError[c])
 	}
 	fmt.Fprintf(w, "warm path:       %d cache-hit blocks, %d incremental solves (client view)\n",
 		r.BlocksCacheHit, r.BlocksIncremental)

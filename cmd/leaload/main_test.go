@@ -95,78 +95,30 @@ func TestRunAgainstEngine(t *testing.T) {
 	if report.Latency.Count != report.Requests {
 		t.Errorf("latency count %d, want %d", report.Latency.Count, report.Requests)
 	}
-	if len(report.Endpoints) != 1 || report.Endpoints[0].Requests != report.Requests {
-		t.Errorf("endpoints %+v, want one carrying all %d requests", report.Endpoints, report.Requests)
+	if len(report.ByError) != 0 {
+		t.Errorf("by_error %v, want empty on a clean run", report.ByError)
 	}
-	if report.Endpoints[0].Server == nil {
-		t.Error("endpoint snapshot missing")
-	}
-}
-
-// TestRunMultiEndpoint drives two daemons at once: every request is routed
-// by its program-shape hash, the per-endpoint tallies sum to the total, and
-// each endpoint's own /statsz snapshot is reported.
-func TestRunMultiEndpoint(t *testing.T) {
-	var srvs []*httptest.Server
-	for i := 0; i < 2; i++ {
-		eng := engine.New(engine.Config{Workers: 2, QueueDepth: 32})
-		srv := httptest.NewServer(transport.NewMux(eng))
-		defer srv.Close()
-		srvs = append(srvs, srv)
-	}
-
-	var buf bytes.Buffer
-	args := []string{
-		"-url", srvs[0].URL + "," + srvs[1].URL, "-workers", "2", "-duration", "300ms",
-		"-mix", "random=1,figures=1", "-shapes", "6", "-registers", "4", "-seed", "1",
-		"-strict", "-json",
-	}
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("leaload run: %v\n%s", err, buf.String())
-	}
-	var report loadReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
-		t.Fatalf("report decode: %v\n%s", err, buf.String())
-	}
-	if len(report.Endpoints) != 2 {
-		t.Fatalf("endpoints %d, want 2", len(report.Endpoints))
-	}
-	var sum int64
-	for i, ep := range report.Endpoints {
-		sum += ep.Requests
-		if ep.Errors != 0 || len(ep.ByError) != 0 {
-			t.Errorf("endpoint %d: errors %d %v, want none", i, ep.Errors, ep.ByError)
-		}
-		if ep.Requests > 0 && (ep.Server == nil || ep.Server.Requests != ep.Requests) {
-			t.Errorf("endpoint %d: server snapshot %+v inconsistent with %d driven requests", i, ep.Server, ep.Requests)
-		}
-	}
-	if sum != report.Requests {
-		t.Errorf("per-endpoint requests sum %d != total %d", sum, report.Requests)
-	}
-	// The 9-program corpus should split across both endpoints with this seed;
-	// a lopsided 9:0 split would mean routing ignores the shape hash.
-	if report.Endpoints[0].Requests == 0 || report.Endpoints[1].Requests == 0 {
-		t.Errorf("all traffic on one endpoint (%d / %d): shape routing not spreading",
-			report.Endpoints[0].Requests, report.Endpoints[1].Requests)
+	// The daemon's own /statsz count includes every driven request.
+	if report.Server.Requests != report.Requests {
+		t.Errorf("server snapshot counts %d requests, driver sent %d", report.Server.Requests, report.Requests)
 	}
 }
 
 // TestRunStrictFailsOnDeadServer checks the strict gate turns transport
-// failures into a nonzero exit and the failures are attributed to the
-// endpoints that produced them.
+// failures into a nonzero exit and every failure is counted by its error
+// code.
 func TestRunStrictFailsOnDeadServer(t *testing.T) {
 	var buf bytes.Buffer
 	args := []string{
-		"-url", "http://127.0.0.1:1,http://127.0.0.1:2", "-workers", "1", "-duration", "50ms",
+		"-url", "http://127.0.0.1:1", "-workers", "1", "-duration", "50ms",
 		"-mix", "figures=1", "-timeout", "100ms", "-strict", "-json",
 	}
 	err := run(args, &buf)
 	if err == nil || !strings.Contains(err.Error(), "strict") {
 		t.Fatalf("dead server under -strict: err %v", err)
 	}
-	// The JSON report follows the statsz-unavailable notes; every error must
-	// be accounted under its own endpoint's by_error map.
+	// The JSON report follows the statsz-unavailable note; every error must
+	// be accounted in the by_error map.
 	out := buf.String()
 	start := strings.Index(out, "{")
 	if start < 0 {
@@ -176,19 +128,15 @@ func TestRunStrictFailsOnDeadServer(t *testing.T) {
 	if err := json.Unmarshal([]byte(out[start:]), &report); err != nil {
 		t.Fatalf("report decode: %v\n%s", err, out)
 	}
-	var perEndpoint int64
-	for _, ep := range report.Endpoints {
-		perEndpoint += ep.Errors
-		var byCode int64
-		for _, n := range ep.ByError {
-			byCode += n
-		}
-		if byCode != ep.Errors {
-			t.Errorf("endpoint %s: by_error sums to %d, errors %d", ep.URL, byCode, ep.Errors)
-		}
+	var byCode int64
+	for _, n := range report.ByError {
+		byCode += n
 	}
-	if report.Errors == 0 || perEndpoint != report.Errors {
-		t.Errorf("per-endpoint errors %d != total %d (want nonzero)", perEndpoint, report.Errors)
+	if report.Errors == 0 || byCode != report.Errors {
+		t.Errorf("by_error %v sums to %d, errors %d (want nonzero and equal)", report.ByError, byCode, report.Errors)
+	}
+	if report.ByError["transport"] != report.Errors {
+		t.Errorf("by_error %v, want every failure under transport", report.ByError)
 	}
 }
 
@@ -208,10 +156,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-loop", "open", "-rate", "0", "-duration", "10ms"},
 		{"-sweep", "100,-5", "-duration", "10ms"},
 		{"-sweep", ",", "-duration", "10ms"},
+		{"-url", " ", "-duration", "10ms"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// leaload drives one daemon: an endpoint list is rejected, not routed.
+	err := run([]string{"-url", "http://127.0.0.1:1,http://127.0.0.1:2", "-duration", "10ms"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "one endpoint") {
+		t.Errorf("comma-separated -url: err %v, want a one-endpoint error", err)
 	}
 }
 

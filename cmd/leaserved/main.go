@@ -1,11 +1,9 @@
 // Command leaserved is the allocation-as-a-service daemon: a stdlib
-// net/http front end (internal/serve/transport) over a consistent-hash shard
-// router (internal/serve/shard) of allocation engines (internal/serve/engine),
-// turning the paper's batch allocator into a long-running service whose warm
-// template caches amortise network construction across requests with
-// repeated program shapes. With -shards above 1, requests are routed by
-// their program-shape key so each shard's cache stays warm for its share of
-// the corpus.
+// net/http front end (internal/serve/transport) over one allocation engine
+// (internal/serve/engine), turning the paper's batch allocator into a
+// long-running service whose warm template cache amortises network
+// construction across requests with repeated program shapes. -workers sets
+// how many requests are solved at once.
 //
 // Endpoints:
 //
@@ -13,9 +11,8 @@
 //	                     per-block allocations + energy + stage stats out
 //	GET  /healthz      — liveness probe
 //	GET  /statsz       — JSON counters, cache hit/miss/evict, latency
-//	                     percentiles (per shard + fleet aggregate)
-//	GET  /metrics      — flat text metric exposition (shard-labelled when
-//	                     sharded)
+//	                     percentiles
+//	GET  /metrics      — flat text metric exposition
 //
 // SIGINT/SIGTERM triggers a graceful drain: in-flight and queued requests
 // finish, new ones are refused, then the process exits 0.
@@ -35,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/serve/engine"
-	"repro/internal/serve/shard"
 	"repro/internal/serve/transport"
 )
 
@@ -53,10 +49,9 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 	fs := flag.NewFlagSet("leaserved", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8311", "listen address")
-		shards   = fs.Int("shards", 1, "engine shard count (requests are routed by program shape)")
-		workers  = fs.Int("workers", 4, "solver worker pool size per shard")
-		queue    = fs.Int("queue", 64, "admission queue depth per shard (full queue => HTTP 429)")
-		cache    = fs.Int("cache", 128, "template cache capacity per shard (program shapes)")
+		workers  = fs.Int("workers", 4, "solver worker pool size")
+		queue    = fs.Int("queue", 64, "admission queue depth (full queue => HTTP 429)")
+		cache    = fs.Int("cache", 128, "template cache capacity (program shapes)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		maxBytes = fs.Int("max-program-bytes", engine.DefaultMaxProgramBytes, "largest accepted TAC program")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
@@ -64,32 +59,26 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("need at least one shard, got %d", *shards)
-	}
 
-	router := shard.New(shard.Config{
-		Shards: *shards,
-		Engine: engine.Config{
-			Workers:         *workers,
-			QueueDepth:      *queue,
-			CacheEntries:    *cache,
-			RequestTimeout:  *timeout,
-			MaxProgramBytes: *maxBytes,
-		},
+	eng := engine.New(engine.Config{
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheEntries:    *cache,
+		RequestTimeout:  *timeout,
+		MaxProgramBytes: *maxBytes,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: transport.NewMux(router)}
+	srv := &http.Server{Handler: transport.NewMux(eng)}
 
 	sigCtx, cancelSig := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancelSig()
 
-	fmt.Fprintf(w, "leaserved: listening on %s (%d shards, %d workers, queue %d, cache %d)\n",
-		ln.Addr(), *shards, *workers, *queue, *cache)
+	fmt.Fprintf(w, "leaserved: listening on %s (%d workers, queue %d, cache %d)\n",
+		ln.Addr(), *workers, *queue, *cache)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -110,7 +99,7 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
-	if err := router.Close(ctx); err != nil {
+	if err := eng.Close(ctx); err != nil {
 		return fmt.Errorf("engine drain: %w", err)
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/serve/engine"
-	"repro/internal/serve/shard"
 )
 
 const testTAC = "task t\nblock b\nin a b\nc = a + b\nd = a * c\nout d\nend\n"
@@ -147,69 +146,13 @@ func TestDaemonServesAndDrainsCleanly(t *testing.T) {
 	}
 }
 
-// TestDaemonSharded runs a 2-shard daemon: requests for two distinct
-// programs spread deterministically, /statsz carries the per-shard
-// snapshots, and /metrics labels every series with its shard.
-func TestDaemonSharded(t *testing.T) {
-	base, _, shutdown := startDaemon(t, "-shards", "2", "-workers", "1", "-queue", "16")
-
-	programs := []string{
-		testTAC,
-		"task u\nblock c\nin x y\nz = x + y\nw = z * x\nv = w + z\nout v\nend\n",
-	}
-	for round := 0; round < 3; round++ {
-		for _, p := range programs {
-			body, _ := json.Marshal(map[string]any{"program": p, "options": map[string]any{"registers": 3}})
-			status, data := postJSON(t, base+"/v1/allocate", string(body))
-			if status != http.StatusOK {
-				t.Fatalf("allocate: status %d body %s", status, data)
-			}
-		}
-	}
-
-	resp, err := http.Get(base + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap shard.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("statsz decode: %v", err)
-	}
-	resp.Body.Close()
-	if len(snap.Shards) != 2 {
-		t.Fatalf("statsz shards %d, want 2", len(snap.Shards))
-	}
-	if snap.Requests != 6 || snap.Shards[0].Requests+snap.Shards[1].Requests != 6 {
-		t.Errorf("aggregate requests %d (shards %d+%d), want 6",
-			snap.Requests, snap.Shards[0].Requests, snap.Shards[1].Requests)
-	}
-	if snap.CacheHits < 4 {
-		t.Errorf("aggregate cache hits %d, want >= 4 (two repeats per program)", snap.CacheHits)
-	}
-
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{`requests_total{shard="0"}`, `requests_total{shard="1"}`} {
-		if !strings.Contains(string(text), want) {
-			t.Errorf("sharded metrics exposition missing %q", want)
-		}
-	}
-
-	if err := shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	if err := run([]string{"-shards", "0"}, io.Discard, nil, nil); err == nil {
-		t.Fatal("zero shards accepted")
+	// The daemon runs exactly one engine, so -shards is an unknown flag.
+	if err := run([]string{"-shards", "4"}, io.Discard, nil, nil); err == nil {
+		t.Fatal("removed -shards flag accepted")
 	}
 	// The daemon has no batched-solving mode, so -batch is an unknown flag.
 	if err := run([]string{"-batch", "4"}, io.Discard, nil, nil); err == nil {

@@ -104,37 +104,23 @@ func TestLayerRank(t *testing.T) {
 }
 
 // TestServingStackRanks pins the serving subsystem's place in the layer DAG:
-// the pure engine sits above core (it drives Prepare/Allocate) and strictly
-// below shard and transport; shard and transport share a rank, so the lint
-// forbids the transport importing the shard router and vice versa — both may
-// only compose downward through the engine. The serving commands sit above
-// all three, and the retired monolithic internal/serve must stay unmapped.
+// core < engine < transport < the serving commands. The engine drives
+// Prepare/Allocate, the transport composes only downward through the
+// engine, and the retired monolithic internal/serve must stay unmapped.
 func TestServingStackRanks(t *testing.T) {
-	engineRank, ok := LayerRank("internal/serve/engine")
-	if !ok {
-		t.Fatal("internal/serve/engine missing from the layer map")
+	chain := []string{"internal/core", "internal/serve/engine", "internal/serve/transport"}
+	ranks := make([]int, len(chain))
+	for i, pkg := range chain {
+		r, ok := LayerRank(pkg)
+		if !ok {
+			t.Fatalf("%s missing from the layer map", pkg)
+		}
+		ranks[i] = r
+		if i > 0 && r <= ranks[i-1] {
+			t.Errorf("%s rank %d must be above %s rank %d", pkg, r, chain[i-1], ranks[i-1])
+		}
 	}
-	coreRank, ok := LayerRank("internal/core")
-	if !ok {
-		t.Fatal("internal/core missing from the layer map")
-	}
-	if engineRank <= coreRank {
-		t.Errorf("internal/serve/engine rank %d must be above internal/core rank %d", engineRank, coreRank)
-	}
-	shardRank, ok := LayerRank("internal/serve/shard")
-	if !ok {
-		t.Fatal("internal/serve/shard missing from the layer map")
-	}
-	transportRank, ok := LayerRank("internal/serve/transport")
-	if !ok {
-		t.Fatal("internal/serve/transport missing from the layer map")
-	}
-	if shardRank <= engineRank || transportRank <= engineRank {
-		t.Errorf("shard (%d) and transport (%d) must rank above engine (%d)", shardRank, transportRank, engineRank)
-	}
-	if shardRank != transportRank {
-		t.Errorf("shard rank %d and transport rank %d must be equal so neither can import the other", shardRank, transportRank)
-	}
+	engineRank, transportRank := ranks[1], ranks[2]
 	if _, ok := LayerRank("internal/serve"); ok {
 		t.Error("retired monolithic internal/serve still mapped")
 	}
@@ -144,8 +130,8 @@ func TestServingStackRanks(t *testing.T) {
 			t.Errorf("%s missing from the layer map", cmd)
 			continue
 		}
-		if r <= shardRank || r <= transportRank {
-			t.Errorf("%s rank %d must be above the serving stack (shard %d, transport %d)", cmd, r, shardRank, transportRank)
+		if r <= transportRank {
+			t.Errorf("%s rank %d must be above the transport rank %d", cmd, r, transportRank)
 		}
 	}
 

@@ -51,11 +51,9 @@ var layerRank = map[string]int{
 	"internal/perfobs/store":     2,
 	"internal/perfobs/collector": 2,
 	"internal/perfobs/report":    3,
-	// The serving stack: the pure request engine sits below the shard router
-	// and the HTTP transport; shard and transport share a rank, so neither
-	// can import the other — both compose only downward through the engine.
+	// The serving stack: the pure request engine sits below the HTTP
+	// transport, which composes only downward through the engine.
 	"internal/serve/engine":    7,
-	"internal/serve/shard":     8,
 	"internal/serve/transport": 8,
 	// The load-generation substrate sits above the serve engine (it reuses
 	// the engine's histogram/registry metrics for its per-phase latency

@@ -66,9 +66,7 @@ type Sample struct {
 	// perturbation budget is the sum of these).
 	ScrapeNS int64 `json:"scrape_ns"`
 	// Metrics maps metric name to value. Labelled series on the page
-	// (`requests_total{shard="1"}`) are summed into their base name, which is
-	// exact for the counters a sharded daemon splits and is how the fleet
-	// totals are defined.
+	// (`requests_total{zone="a"}`) are summed into their base name.
 	Metrics map[string]float64 `json:"metrics"`
 }
 

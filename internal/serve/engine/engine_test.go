@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,6 +237,82 @@ func TestStageTotalsWithinRequestLatency(t *testing.T) {
 		t.Errorf("stage totals sum to %d ns, more than the %d ns of request latency",
 			stages, snap.RequestLatency.SumNS)
 	}
+}
+
+// TestEngineSpellingsShareTemplate: every spelling of one flow engine
+// resolves to one canonical name before the cache key is taken, so a repeat
+// that names the engine differently hits the template the first request
+// built. Two engines see the same program twice — one with the same
+// spelling both times, one with a second spelling — and the second
+// responses must agree byte for byte apart from the wall-clock *_ns fields.
+func TestEngineSpellingsShareTemplate(t *testing.T) {
+	ctx := context.Background()
+	secondBlocks := func(first, second string) ([]byte, Snapshot) {
+		t.Helper()
+		e := New(Config{Workers: 1})
+		defer e.Close(ctx)
+		var resp *Response
+		for _, name := range []string{first, second} {
+			req := &Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3, Engine: name}}
+			var err error
+			if resp, err = e.Allocate(ctx, req); err != nil {
+				t.Fatalf("engine %q: %v", name, err)
+			}
+		}
+		data, err := json.Marshal(resp.Blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return withoutNS(t, data), e.Snapshot()
+	}
+	for _, c := range []struct{ first, second string }{
+		{"", "SSP"},
+		{"ssp", ""},
+		{"cyclecancel", "cycle-cancel"},
+	} {
+		want, _ := secondBlocks(c.first, c.first)
+		got, snap := secondBlocks(c.first, c.second)
+		if snap.CacheMisses != 1 || snap.CacheHits != 1 || snap.CacheEntries != 1 {
+			t.Errorf("%q then %q: cache misses %d hits %d entries %d, want 1, 1, 1",
+				c.first, c.second, snap.CacheMisses, snap.CacheHits, snap.CacheEntries)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%q then %q: second response differs from a same-spelling repeat\n got %s\nwant %s",
+				c.first, c.second, got, want)
+		}
+	}
+}
+
+// withoutNS re-encodes a JSON document with every "*_ns" field removed.
+func withoutNS(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	var strip func(any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				if strings.HasSuffix(k, "_ns") {
+					delete(v, k)
+				} else {
+					strip(x)
+				}
+			}
+		case []any:
+			for _, x := range v {
+				strip(x)
+			}
+		}
+	}
+	strip(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // blockingHook returns a testHookPreSolve that signals entry and then parks

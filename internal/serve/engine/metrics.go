@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,44 +266,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// WriteTextLabels renders the registry like WriteText with a fixed label set
-// appended to every metric name, `name{shard="0"} value` style; label keys
-// are sorted. A sharded deployment writes each engine's registry with its
-// shard index so one /metrics page keeps the per-shard series apart.
-func (r *Registry) WriteTextLabels(w io.Writer, labels map[string]string) error {
-	if len(labels) == 0 {
-		return r.WriteText(w)
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
-	}
-	b.WriteByte('}')
-	return r.writeText(w, b.String())
-}
-
 // WriteText renders every metric in a flat, sorted, line-oriented text
 // exposition: "name value" for counters and gauges, and per-histogram
 // "name_count", "name_sum_ns" and "name_p50_ns"/"_p95_ns"/"_p99_ns" lines.
+// Rendering happens outside the registry lock — renderLines holds it only
+// while walking the maps — so a slow writer never blocks metric updates.
 func (r *Registry) WriteText(w io.Writer) error {
-	return r.writeText(w, "")
-}
-
-// writeText renders the metrics with suffix (a rendered label set or empty)
-// between each metric name and its value. Rendering happens outside the
-// registry lock — renderLines holds it only while walking the maps — so a
-// slow writer never blocks metric updates.
-func (r *Registry) writeText(w io.Writer, suffix string) error {
-	lines := r.renderLines(suffix)
+	lines := r.renderLines()
 	sort.Strings(lines)
 	for _, l := range lines {
 		if _, err := fmt.Fprintln(w, l); err != nil {
@@ -342,24 +310,24 @@ func (r *Registry) SnapshotMap() map[string]int64 {
 
 // renderLines formats every metric as an unsorted exposition line, under the
 // registry lock.
-func (r *Registry) renderLines(suffix string) []string {
+func (r *Registry) renderLines() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	lines := make([]string, 0, len(r.counters)+len(r.gauges)+5*len(r.histograms))
 	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s%s %d", name, suffix, c.Value()))
+		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
 	}
 	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s%s %d", name, suffix, g.Value()))
+		lines = append(lines, fmt.Sprintf("%s %d", name, g.Value()))
 	}
 	for name, h := range r.histograms {
 		s := h.Snapshot()
 		lines = append(lines,
-			fmt.Sprintf("%s_count%s %d", name, suffix, s.Count),
-			fmt.Sprintf("%s_sum_ns%s %d", name, suffix, s.SumNS),
-			fmt.Sprintf("%s_p50_ns%s %d", name, suffix, s.P50NS),
-			fmt.Sprintf("%s_p95_ns%s %d", name, suffix, s.P95NS),
-			fmt.Sprintf("%s_p99_ns%s %d", name, suffix, s.P99NS),
+			fmt.Sprintf("%s_count %d", name, s.Count),
+			fmt.Sprintf("%s_sum_ns %d", name, s.SumNS),
+			fmt.Sprintf("%s_p50_ns %d", name, s.P50NS),
+			fmt.Sprintf("%s_p95_ns %d", name, s.P95NS),
+			fmt.Sprintf("%s_p99_ns %d", name, s.P99NS),
 		)
 	}
 	return lines

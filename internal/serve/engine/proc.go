@@ -153,10 +153,9 @@ func (s ProcStats) Metrics() map[string]int64 {
 }
 
 // WriteProcMetrics samples the process stats and appends them to a /metrics
-// text exposition as sorted "name value" lines. Sharded deployments call this
-// once per page, after the per-shard registries: the gauges are process-wide,
-// so emitting them per shard would double-count under the collector's
-// labelled-series summing.
+// text exposition as sorted "name value" lines. The gauges describe the whole
+// process, not one engine, so they are sampled once per page at scrape time
+// and never kept in an engine's registry.
 func WriteProcMetrics(w io.Writer) error {
 	m := SampleProc().Metrics()
 	names := make([]string, 0, len(m))

@@ -140,9 +140,17 @@ func validateRequest(req *Request, maxProgram int) error {
 	if o.MemDivisor < 1 || o.MemDivisor > MaxMemDivisor {
 		return badRequest("options.mem_divisor", fmt.Sprintf("memory divisor %d outside [1, %d]", o.MemDivisor, MaxMemDivisor), nil)
 	}
-	if _, err := flow.EngineByName(o.Engine); err != nil {
+	// Resolve the engine to its canonical name, so every spelling of one
+	// engine ("", "SSP", "cycle-cancel", ...) shares one cache key.
+	name := o.Engine
+	if name == "" {
+		name = core.DefaultEngine()
+	}
+	eng, err := flow.EngineByName(name)
+	if err != nil {
 		return badRequest("options.engine", "unknown engine", err)
 	}
+	o.Engine = eng.Name()
 	switch o.Style {
 	case "", "density", "allcompat":
 	default:
@@ -223,7 +231,7 @@ func schedule(b *ir.Block, o RequestOptions) (*sched.Schedule, error) {
 
 // cacheKey canonically hashes everything that determines the prepared flow
 // topology: the split-relevant options (memory restriction, split policy,
-// graph style, engine) and the exact lifetime-set shape, variable names
+// graph style, canonical engine name) and the exact lifetime-set shape, variable names
 // included — decoded results carry variable names, so two programs must
 // collide only when a cached template reproduces their cold allocation
 // byte-for-byte. The register count and cost model are deliberately
@@ -232,7 +240,7 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 	h := sha256.New()
 	var b strings.Builder
 	fmt.Fprintf(&b, "v1|div=%d|splitfull=%t|style=%s|engine=%s|steps=%d",
-		o.MemDivisor, o.SplitFull, o.Style, strings.ToLower(o.Engine), set.Steps)
+		o.MemDivisor, o.SplitFull, o.Style, o.Engine, set.Steps)
 	io.WriteString(h, b.String())
 	for i := range set.Lifetimes {
 		l := &set.Lifetimes[i]
@@ -251,32 +259,6 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 			io.WriteString(h, strconv.Itoa(r))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RouteKey canonically hashes the request fields that determine which
-// prepared templates serve it: the program text and every shape-relevant
-// option (divisor, split policy, style, engine, scheduler and its resource
-// bounds). Register count and cost model are deliberately excluded — a
-// register or cost sweep over one program then lands on a single shard and
-// keeps re-solving that shard's warm templates. Shard routers and load
-// drivers share this key so client-side routing agrees with server-side
-// affinity. The key is computed on the raw request, so the validation
-// defaults are applied locally first.
-func RouteKey(req *Request) string {
-	o := req.Options
-	div := o.MemDivisor
-	if div == 0 {
-		div = 1
-	}
-	alus, mults := o.ALUs, o.Multipliers
-	if alus == 0 && mults == 0 && o.Scheduler != "asap" && o.Scheduler != "fds" {
-		alus, mults = 2, 1
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "rk1|div=%d|splitfull=%t|style=%s|engine=%s|sched=%s|alus=%d|mults=%d|",
-		div, o.SplitFull, o.Style, strings.ToLower(o.Engine), o.Scheduler, alus, mults)
-	io.WriteString(h, req.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -7,9 +7,8 @@
 //
 // The package is transport-free by design: it speaks Request/Response and
 // typed errors, never HTTP. internal/serve/transport maps those to an HTTP
-// API, internal/serve/shard spreads requests across several engines, and
-// cmd/leaserved assembles the three into a daemon; cmd/leaload drives it
-// under closed-loop load.
+// API, cmd/leaserved runs one engine behind it as a daemon, and cmd/leaload
+// drives that daemon under load.
 package engine
 
 import (
@@ -468,14 +467,6 @@ type Snapshot struct {
 	// End-to-end and solve-only latency distributions.
 	RequestLatency HistogramSnapshot `json:"request_latency"`
 	SolveLatency   HistogramSnapshot `json:"solve_latency"`
-}
-
-// MergeLatencyInto folds the engine's request and solve latency histograms
-// into the given accumulators (exact bucket-wise merge), so a shard router
-// can publish fleet-wide quantiles rather than averaging per-shard ones.
-func (e *Engine) MergeLatencyInto(request, solve *Histogram) {
-	request.Merge(e.latency)
-	solve.Merge(e.solveLat)
 }
 
 // Snapshot captures the engine's aggregate state.

@@ -2,7 +2,7 @@
 // typed-error-to-status translation and the four-route API mux. It holds
 // every HTTP type the serving stack uses — internal/serve/engine stays
 // transport-free — and speaks to the engine only through the Service
-// interface, so a single engine and a shard router plug in identically.
+// interface, so tests can put a stub behind the same mux.
 package transport
 
 import (
@@ -15,8 +15,8 @@ import (
 	"repro/internal/serve/engine"
 )
 
-// Service is the allocation backend a mux fronts: a single *engine.Engine or
-// a *shard.Router. Allocate must return the engine package's typed errors so
+// Service is the allocation backend a mux fronts: an *engine.Engine, or a
+// stub in tests. Allocate must return the engine package's typed errors so
 // statusOf can map them.
 type Service interface {
 	// Allocate runs one decoded request to completion.
@@ -97,10 +97,9 @@ func NewMux(svc Service) *http.ServeMux {
 		writeJSON(w, http.StatusOK, svc.StatsJSON())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Process-wide gauges (RSS, GC pauses, goroutines) are sampled here —
-		// once per page, at scrape time — rather than inside the per-shard
-		// registries, where a sharded deployment would repeat them per shard
-		// and a label-summing scraper would multiply them by the shard count.
+		// Process-wide gauges (RSS, GC pauses, goroutines) are sampled here,
+		// once per page at scrape time, rather than kept in the engine's
+		// registry: they describe the process, not the engine.
 		if r.URL.Query().Get("format") == "json" {
 			writeJSON(w, http.StatusOK, map[string]any{
 				"metrics": svc.MetricsJSON(),
